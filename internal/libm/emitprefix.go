@@ -336,25 +336,7 @@ func emitPrefixKernelBody(w io.Writer, fn string, fd *funcData, ps PrecSpec, pl 
 		}
 		return hexLit(v)
 	}
-	rnd := func(v float64) string { return lit(ps.Out.Round(v, fp.RNE)) }
-	if strings.HasPrefix(fn, "log") {
-		fmt.Fprintf(w, "%sswitch {\n", ind)
-		fmt.Fprintf(w, "%scase math.IsNaN(x):\n%s\n", ind, ret(ind2, "x", false))
-		fmt.Fprintf(w, "%scase x < 0 || math.IsInf(x, -1):\n%s\n", ind, ret(ind2, "math.NaN()", false))
-		fmt.Fprintf(w, "%scase x == 0:\n%s\n", ind, ret(ind2, "math.Inf(-1)", false))
-		fmt.Fprintf(w, "%scase math.IsInf(x, 1):\n%s\n%s}\n", ind, ret(ind2, "math.Inf(1)", false), ind)
-	} else {
-		fmt.Fprintf(w, "%sswitch {\n", ind)
-		fmt.Fprintf(w, "%scase math.IsNaN(x):\n%s\n", ind, ret(ind2, "x", false))
-		fmt.Fprintf(w, "%scase math.IsInf(x, 1):\n%s\n", ind, ret(ind2, "math.Inf(1)", false))
-		fmt.Fprintf(w, "%scase math.IsInf(x, -1):\n%s\n", ind, ret(ind2, "0", false))
-		fmt.Fprintf(w, "%scase x == 0:\n%s\n", ind, ret(ind2, "1", false))
-		fmt.Fprintf(w, "%scase x <= %s:\n%s\n", ind, hexLit(fd.domLo), ret(ind2, rnd(fd.loVal), false))
-		fmt.Fprintf(w, "%scase x >= %s:\n%s\n", ind, hexLit(fd.domHi), ret(ind2, rnd(fd.hiVal), false))
-		fmt.Fprintf(w, "%scase x < 0 && x >= %s:\n%s\n", ind, hexLit(fd.tinyLo), ret(ind2, rnd(fd.tinyLoVal), false))
-		fmt.Fprintf(w, "%scase x > 0 && x <= %s:\n%s\n", ind, hexLit(fd.tinyHi), ret(ind2, rnd(fd.tinyHiVal), false))
-		fmt.Fprintf(w, "%s}\n", ind)
-	}
+	emitFront(w, fn, fd, ind, func(v float64) string { return lit(ps.Out.Round(v, fp.RNE)) }, ret)
 
 	if len(pl.specialBits) > 0 {
 		lo, hi := math.Inf(1), math.Inf(-1)

@@ -201,32 +201,6 @@ func emitVecKernel(w io.Writer, spec *vecSpec) error {
 	return emitVecBlockFunc(w, spec)
 }
 
-// vecExpReduceLines returns the inline form of the exp-family range
-// reduction: the exact statement sequence of the corresponding
-// rangered.Reduce* function, referencing the same exported constants.
-func vecExpReduceLines(fn string) []string {
-	var round, r string
-	switch fn {
-	case "exp":
-		round = "n := math.Round(x * rangered.InvLn2x64)"
-		r = "r := (x - n*rangered.Ln2x64Hi) - n*rangered.Ln2x64Lo"
-	case "exp2":
-		round = "n := math.Round(x * 64)"
-		r = "r := x - n/64"
-	case "exp10":
-		round = "n := math.Round(x * rangered.InvLog10Of2x64)"
-		r = "r := (x - n*rangered.Log10Of2x64Hi) - n*rangered.Log10Of2x64Lo"
-	default:
-		panic("libm: vecExpReduceLines on " + fn)
-	}
-	return []string{
-		round,
-		r,
-		"ni := int32(n)",
-		"k := rangered.Key{Q: ni >> 6, J: ni & 63}",
-	}
-}
-
 // emitVecBlockFunc writes one vector block kernel body.
 func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 	isLog := strings.HasPrefix(spec.fn, "log")
@@ -269,18 +243,7 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 	fmt.Fprintf(w, "\t\tfor l := 0; l < generatedVecLanes; l++ {\n")
 	fmt.Fprintf(w, "\t\t\tx := v[l]\n")
 	fmt.Fprintf(w, "\t\t\tvx[l] = x\n")
-	if isLog {
-		fmt.Fprintf(w, "\t\t\tr, k := %s\n", fam.reduceExpr)
-	} else {
-		// The exp-family reductions embed math.Round, which pushes them
-		// past the compiler's inlining budget — a call per lane would
-		// dominate loop A. Emit the reduction body inline instead: the
-		// identical operation sequence over the same exported constants,
-		// so r and k match rangered.ReduceExp*(x) bit for bit.
-		for _, ln := range vecExpReduceLines(spec.fn) {
-			fmt.Fprintf(w, "\t\t\t%s\n", ln)
-		}
-	}
+	fmt.Fprintf(w, "\t\t\tr, k := %s\n", fam.reduceExpr)
 	fmt.Fprintf(w, "\t\t\tvr[l] = r\n")
 	if isLog {
 		fmt.Fprintf(w, "\t\t\tvq[l], vj[l] = k.Q, k.J\n")
@@ -294,6 +257,9 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 		// bitwise), so the final p*vs[l] below rounds exactly like the
 		// scalar kernel's CompensateExpFamily(p, k).
 		fmt.Fprintf(w, "\t\t\tvs[l] = rangered.CompensateExpFamily(1, k)\n")
+		// The exact polynomial path, not the scalar front-end gate: the
+		// gate also turns away the band between the shorter and the longer
+		// domain cut, which here would cost a scalar fix-up per lane.
 		fd := spec.fd
 		fmt.Fprintf(w, "\t\t\tif !(x > %s && x < %s && (x < %s || x > %s)) {\n",
 			hexLit(fd.domLo), hexLit(fd.domHi), hexLit(fd.tinyLo), hexLit(fd.tinyHi))

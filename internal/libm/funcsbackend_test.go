@@ -38,11 +38,13 @@ func TestGeneratedFuncsMatchDataBackend(t *testing.T) {
 		if double == nil {
 			t.Fatalf("unknown function in key %q", key)
 		}
-		// Edge inputs plus a random sweep.
+		// Edge inputs, both sides of the front-end gate's ends, plus a
+		// random sweep.
 		inputs := []float64{
 			math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 			1, -1, 0.5, 2, 3, 100, -104, 89, -150, 128, 1e-40, -1e-40,
 		}
+		inputs = append(inputs, gateEdgeInputs(name, prefixDataOf(t, name))...)
 		for i := 0; i < 20000; i++ {
 			inputs = append(inputs, float64(randInput(rng, name)))
 		}

@@ -14,31 +14,54 @@ type Key struct {
 	J int32 // table index
 }
 
+// roundShift is 1.5*2^52: adding and subtracting it rounds a double of
+// magnitude below 2^51 to an integer under the ambient round-to-nearest-even
+// mode, because the sum's unit in the last place is exactly 1.
+const roundShift = 0x1.8p52
+
+// roundHalfAway returns y rounded to the nearest integer with ties away
+// from zero, exactly as math.Round, for |y| < 2^51. The shifter rounds ties
+// to even; y - n is exact (both are multiples of y's ulp, |y - n| <= 1/2),
+// so a tie the shifter resolved toward zero shows as d == ±1/2 with the
+// sign of y and is pushed one step outward. Unlike math.Round this inlines,
+// and every exp-family reduction fits the compiler's inlining budget with
+// it — by a few units only: even naming r in the reductions below pushes
+// them over (CI checks that they inline).
+func roundHalfAway(y float64) float64 {
+	// Pin y's rounding: a target that fuses multiply-adds could otherwise
+	// fold the caller's product into the shifter add or the tie test.
+	y = float64(y)
+	n := (y + roundShift) - roundShift
+	if d := y - n; d == 0.5 && y > 0 {
+		n++
+	} else if d == -0.5 && y < 0 {
+		n--
+	}
+	return n
+}
+
 // ReduceExp2 reduces x for 2^x: n = round(64x), r = x - n/64 (exact in
 // double), 2^x = 2^q * T[j] * 2^r with n = 64q + j.
 func ReduceExp2(x float64) (float64, Key) {
-	n := math.Round(x * 64)
-	r := x - n/64
+	n := roundHalfAway(x * 64)
 	ni := int32(n)
-	return r, Key{Q: ni >> 6, J: ni & 63}
+	return x - n/64, Key{Q: ni >> 6, J: ni & 63}
 }
 
 // ReduceExp reduces x for e^x with a Cody–Waite subtraction:
 // n = round(x*64/ln2), r = (x - n*hi) - n*lo, e^x = 2^q * T[j] * e^r.
 func ReduceExp(x float64) (float64, Key) {
-	n := math.Round(x * InvLn2x64)
-	r := (x - n*Ln2x64Hi) - n*Ln2x64Lo
+	n := roundHalfAway(x * InvLn2x64)
 	ni := int32(n)
-	return r, Key{Q: ni >> 6, J: ni & 63}
+	return (x - n*Ln2x64Hi) - n*Ln2x64Lo, Key{Q: ni >> 6, J: ni & 63}
 }
 
 // ReduceExp10 reduces x for 10^x: n = round(x*64/log10(2)),
 // r = (x - n*hi) - n*lo, 10^x = 2^q * T[j] * 10^r.
 func ReduceExp10(x float64) (float64, Key) {
-	n := math.Round(x * InvLog10Of2x64)
-	r := (x - n*Log10Of2x64Hi) - n*Log10Of2x64Lo
+	n := roundHalfAway(x * InvLog10Of2x64)
 	ni := int32(n)
-	return r, Key{Q: ni >> 6, J: ni & 63}
+	return (x - n*Log10Of2x64Hi) - n*Log10Of2x64Lo, Key{Q: ni >> 6, J: ni & 63}
 }
 
 // CompensateExpFamily computes p * T[j] * 2^q with a single rounding: the
@@ -63,7 +86,9 @@ func ReduceLog(x float64) (float64, Key) {
 	e := int32(bits>>52) - 1023
 	j := int32(bits>>45) & 127
 	m := math.Float64frombits(bits&0x000FFFFFFFFFFFFF | 0x3FF0000000000000)
-	F := 1 + float64(j)/128
+	// F = 1 + j/128 is m truncated to its top seven fraction bits, built
+	// from the same bits instead of an int-to-float conversion and divide.
+	F := math.Float64frombits(bits&0x000FE00000000000 | 0x3FF0000000000000)
 	f := (m - F) * RecipT[j]
 	return f, Key{Q: e, J: j}
 }
