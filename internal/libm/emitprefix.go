@@ -2,7 +2,6 @@ package libm
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -35,17 +34,16 @@ import (
 //   - special-case table entries whose truncated polynomial value already
 //     rounds identically are omitted (most do — the table absorbs 34-bit
 //     misrounds far below the 18/21-bit granularity), leaving at most a
-//     residual switch;
+//     small residual exact-value table;
 //   - when one polynomial piece truncates into a prefix that verifies over
-//     the whole reduced domain, the piecewise dispatch collapses to that
-//     single straight-line body.
+//     the whole reduced domain, the piece selection collapses to that
+//     single straight-line body with inlined coefficients.
 
 // prefixPlan is the verified shape of one prefix kernel.
 type prefixPlan struct {
-	degree    int  // truncated polynomial degree
-	collapsed bool // single piece serves the whole reduced domain
+	degree int // truncated polynomial degree
 
-	evs []*poly.Evaluator // truncated evaluator per dispatch arm
+	evs []*poly.Evaluator // truncated evaluator per piece
 	los []float64         // piece lower bounds, parallel to evs
 
 	specialBits []uint64  // residual special inputs (sorted float64 bits)
@@ -113,13 +111,11 @@ func (pl *prefixPlan) evalDouble(fam *famOps, x float64) float64 {
 	if r == 0 {
 		return fam.compensate(fam.pZero, k)
 	}
-	ev := pl.evs[0]
-	for i := 1; i < len(pl.evs); i++ {
-		if r >= pl.los[i] {
-			ev = pl.evs[i]
-		}
+	var i uint
+	for _, lo := range pl.los[1:] {
+		i += b2u(r >= lo)
 	}
-	return fam.compensate(ev.Eval(r), k)
+	return fam.compensate(pl.evs[i].Eval(r), k)
 }
 
 // fullKernelDouble is the full-degree raw-double kernel for fn under s.
@@ -237,7 +233,8 @@ func planPrefix(fn string, fd *funcData, s Scheme, ps PrecSpec) (*prefixPlan, er
 
 	// Piece collapse: prefer a single straight-line body when the piece
 	// covering r = 0 verifies over the whole reduced domain within one extra
-	// degree — it removes the dispatch branches from the hot loop.
+	// degree — it removes the table load and the selection from the hot
+	// loop.
 	if len(impl.pieces) > 1 {
 		j := 0
 		for i, p := range impl.pieces {
@@ -255,7 +252,6 @@ func planPrefix(fn string, fd *funcData, s Scheme, ps PrecSpec) (*prefixPlan, er
 				continue
 			}
 			pl.los[0] = math.Inf(-1)
-			pl.collapsed = true
 			if ok, sp := check(pl); ok {
 				chosen, chosenSpec = pl, sp
 				break
@@ -284,105 +280,22 @@ func precRoundIdent(name string) string {
 	return "round" + precIdent(name)
 }
 
-// emitOnePrefixFunc writes the scalar prefix kernel: the full kernel's shape
-// with emit-time-rounded constant branches, the residual special switch, the
-// truncated polynomial, and a round-to-nearest conversion to the output
-// format on every computed path.
-func emitOnePrefixFunc(w io.Writer, fn string, fd *funcData, s Scheme, ps PrecSpec, pl *prefixPlan, name string) error {
-	fmt.Fprintf(w, "\n// %s is the %s %v prefix kernel for %s: a degree-%d prefix of the\n", name, fn, s, ps.Name, pl.degree)
-	fmt.Fprintf(w, "// full polynomial, correctly rounded to %v for every %v input.\n", ps.Out, ps.Out)
-	fmt.Fprintf(w, "func %s(x float64) float64 {\n", name)
-	ret := func(indent, expr string, _ bool) string {
-		return indent + "return " + expr
+// kernelSpecPrefix builds the spec for a prefix plan: the plan's truncated
+// pieces, its residual exact-value inputs with their pre-rounded results,
+// and the narrowing round to the precision's output format on every
+// computed path.
+func kernelSpecPrefix(fn string, fd *funcData, s Scheme, ps PrecSpec, pl *prefixPlan, name string) (*kernelSpec, error) {
+	ks := &kernelSpec{
+		fn:   fn,
+		name: name,
+		what: fmt.Sprintf("%s %v %s prefix", fn, s, ps.Name),
+		doc: fmt.Sprintf("// %s is the %s %v prefix kernel for %s: a degree-%d prefix of the\n"+
+			"// full polynomial, correctly rounded to %v for every %v input.\n",
+			name, fn, s, ps.Name, pl.degree, ps.Out, ps.Out),
+		fd:  fd,
+		evs: pl.evs,
+		los: pl.los,
+		ps:  &ps,
 	}
-	if err := emitPrefixKernelBody(w, fn, fd, ps, pl, 1, ret); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "}\n")
-	return nil
-}
-
-// emitOnePrefixBlockFunc writes the in-place block variant of a prefix
-// kernel, mirroring emitOneBlockFunc.
-func emitOnePrefixBlockFunc(w io.Writer, fn string, fd *funcData, s Scheme, ps PrecSpec, pl *prefixPlan, name string) error {
-	fmt.Fprintf(w, "\n// %s applies the %s %v %s prefix kernel to every element of b in place.\n", name, fn, s, ps.Name)
-	fmt.Fprintf(w, "func %s(b []float64) {\n", name)
-	fmt.Fprintf(w, "\tfor i, x := range b {\n")
-	ret := func(indent, expr string, last bool) string {
-		if last {
-			return indent + "b[i] = " + expr
-		}
-		return indent + "b[i] = " + expr + "\n" + indent + "continue"
-	}
-	if err := emitPrefixKernelBody(w, fn, fd, ps, pl, 2, ret); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\t}\n}\n")
-	return nil
-}
-
-func emitPrefixKernelBody(w io.Writer, fn string, fd *funcData, ps PrecSpec, pl *prefixPlan, depth int, ret func(indent, expr string, last bool) string) error {
-	ind := strings.Repeat("\t", depth)
-	ind2 := ind + "\t"
-	// Rounding a plateau constant to the output format can overflow to
-	// infinity (e.g. exp's top plateau: the RO34 saturation double rounds to
-	// +Inf at 8-bit precision), which has no hex literal.
-	lit := func(v float64) string {
-		switch {
-		case math.IsInf(v, 1):
-			return "math.Inf(1)"
-		case math.IsInf(v, -1):
-			return "math.Inf(-1)"
-		}
-		return hexLit(v)
-	}
-	emitFront(w, fn, fd, ind, func(v float64) string { return lit(ps.Out.Round(v, fp.RNE)) }, ret)
-
-	if len(pl.specialBits) > 0 {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, b := range pl.specialBits {
-			v := math.Float64frombits(b)
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		fmt.Fprintf(w, "%sif x >= %s && x <= %s {\n", ind, hexLit(lo), hexLit(hi))
-		fmt.Fprintf(w, "%sswitch math.Float64bits(x) {\n", ind2)
-		for i, b := range pl.specialBits {
-			fmt.Fprintf(w, "%scase %#x:\n%s\n", ind2, b, ret(ind2+"\t", lit(pl.specialVals[i]), false))
-		}
-		fmt.Fprintf(w, "%s}\n%s}\n", ind2, ind)
-	}
-
-	fam, err := famFor(fn)
-	if err != nil {
-		return err
-	}
-	round := precRoundIdent(ps.Name)
-	fmt.Fprintf(w, "%sr, k := %s\n", ind, fam.reduceExpr)
-	fmt.Fprintf(w, "%sif r == 0 {\n%s\n%s}\n", ind,
-		ret(ind2, round+"("+fam.compExpr+"("+fam.pZeroExpr+", k))", false), ind)
-	fmt.Fprintf(w, "%svar p float64\n", ind)
-	emitPrefixDispatch(w, pl.evs, pl.los, depth)
-	fmt.Fprintf(w, "%s\n", ret(ind, round+"("+fam.compExpr+"(p, k))", true))
-	return nil
-}
-
-// emitPrefixDispatch writes nested if/else piece selection over the
-// truncated evaluators — the same binary split as the full kernels, minus
-// the arms a collapsed plan no longer needs.
-func emitPrefixDispatch(w io.Writer, evs []*poly.Evaluator, los []float64, depth int) {
-	indent := strings.Repeat("\t", depth)
-	if len(evs) == 1 {
-		lines, result := evs[0].GenEval("r", fmt.Sprintf("t%d_", depth))
-		for _, l := range lines {
-			fmt.Fprintf(w, "%s%s\n", indent, l)
-		}
-		fmt.Fprintf(w, "%sp = %s\n", indent, result)
-		return
-	}
-	mid := len(evs) / 2
-	fmt.Fprintf(w, "%sif r < %s {\n", indent, hexLit(los[mid]))
-	emitPrefixDispatch(w, evs[:mid], los[:mid], depth+1)
-	fmt.Fprintf(w, "%s} else {\n", indent)
-	emitPrefixDispatch(w, evs[mid:], los[mid:], depth+1)
-	fmt.Fprintf(w, "%s}\n", indent)
+	return ks, ks.finish(pl.specialBits, pl.specialVals)
 }

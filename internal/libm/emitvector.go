@@ -5,31 +5,30 @@ import (
 	"io"
 	"math"
 	"strings"
-
-	"rlibm/internal/poly"
 )
 
-// Vector block kernels. The scalar-body block kernels (emitOneBlockFunc)
-// inline the kernel into a loop, but every element still walks the special
-// switch, an unpredictable piecewise-dispatch branch and the r == 0 early
-// return — branches that defeat both the compiler's and the out-of-order
-// core's ability to overlap elements. The vector form restructures the same
-// computation into fixed-size lane groups with the branches hoisted or
-// bit-masked away:
+// Vector block kernels. The scalar-body block kernels (emitKernel's Block
+// form) inline the kernel into a loop, but every element still passes the
+// front gate, the exact-value probe and the r == 0 early return — branches
+// that keep the compiler from overlapping elements. The vector form
+// restructures the same computation into fixed-size lane groups with the
+// branches hoisted or bit-masked away:
 //
 //   - struct-of-arrays range reduction: a first loop reduces all lanes of
 //     the group into local arrays (r plus, per family, the exact exp scale
 //     or the log compensation key) and accumulates one "slow" flag from the
 //     fast-path predicate;
 //   - per-lane fix-up: lanes holding a special input (NaN, infinity, zero,
-//     plateau, tiny, or an exact-value table input) are marked in loop A,
+//     plateau, tiny, or an exact-value input, found by the same one-probe
+//     table lookup the scalar kernel makes) are marked in loop A,
 //     recomputed with the scalar kernel after the polynomial loop, and
 //     overwrite whatever the branch-free body computed for them —
 //     bit-identity for the hard cases by construction, at a cost only the
 //     special lanes themselves pay (the branch-free loops never branch on
 //     the marks);
-//   - branch-free polynomial loop: piece selection becomes sign-bit counting
-//     into a per-piece coefficient table, the r == 0 structural value is
+//   - branch-free polynomial loop: the piece comes from the kernel's shared
+//     coefficient table by the branch-free bound count every form uses
+//     (kernelSpec.genPoly), the r == 0 structural value is
 //     folded in with a bit-select mask, and the body is the scheme's
 //     math.FMA DAG — no branches at all, so the core pipelines the
 //     independent lanes back to back;
@@ -49,11 +48,11 @@ import (
 // Garbage values the branch-free body computes for slow lanes before the
 // fix-up overwrite are harmless: float-to-int conversions of non-finite
 // values are well-defined in Go, and every table index is bounded by
-// construction (masked reduction keys, piece counts). The emitted VecBatch/AsmBatch wrappers stage
-// float32 traffic through these blocks exactly like the Batch wrappers do
-// for the scalar-body blocks; AsmBatch additionally runs the widen/narrow
-// staging loops as AVX conversion instructions where available (see
-// conv_amd64.s).
+// construction (masked reduction keys, piece counts, hash shifts). The
+// emitted VecBatch/AsmBatch wrappers stage float32 traffic through these
+// blocks exactly like the Batch wrappers do for the scalar-body blocks;
+// AsmBatch additionally runs the widen/narrow staging loops as AVX
+// conversion instructions where available (see conv_amd64.s).
 
 // emitVecLanes is the lane-group width: wide enough that the out-of-order
 // core can overlap the independent per-lane FMA chains, narrow enough that
@@ -61,174 +60,24 @@ import (
 // is a multiple, so batch staging blocks split into whole groups.
 const emitVecLanes = 8
 
-// vecSpec is everything the vector emitter needs for one kernel: the full
-// kernels and the prefix kernels reduce to the same shape.
-type vecSpec struct {
-	fn       string // "exp", "log2", ...
-	name     string // emitted identifier, e.g. genExpRlibmEstrinFmaVecBlock
-	fallback string // scalar-body block kernel run for sub-group tails
-	scalar   string // scalar kernel run per slow lane
-	tab      string // coefficient table identifier ("" when single-piece)
+// emitVecBlockFunc writes the vector block form of a kernel.
+func emitVecBlockFunc(w io.Writer, ks *kernelSpec) error {
+	isLog := strings.HasPrefix(ks.fn, "log")
+	name, fallback := ks.name+"VecBlock", ks.name+"Block"
 
-	evs []*poly.Evaluator // evaluator per piece, ascending lower bounds
-	los []float64         // piece lower bounds, parallel to evs
-
-	specialBits []uint64 // exact-value inputs that must take the fallback
-	round       string   // "" (full precision) or roundTf32/roundBf16
-	fd          *funcData
-}
-
-// vecSpecFull builds the spec for a full-precision implementation.
-func vecSpecFull(fn string, fd *funcData, s Scheme, name string) (*vecSpec, error) {
-	impl := &fd.impls[s]
-	spec := &vecSpec{
-		fn:          fn,
-		name:        name + "VecBlock",
-		fallback:    name + "Block",
-		scalar:      name,
-		evs:         make([]*poly.Evaluator, 0, len(impl.pieces)),
-		los:         make([]float64, 0, len(impl.pieces)),
-		specialBits: impl.specialBits,
-		fd:          fd,
-	}
-	for _, p := range impl.pieces {
-		ev, err := evaluatorFor(s, p)
-		if err != nil {
-			return nil, err
-		}
-		spec.evs = append(spec.evs, ev)
-		spec.los = append(spec.los, p.lo)
-	}
-	if len(spec.evs) > 1 {
-		spec.tab = name + "VecTab"
-	}
-	return spec, nil
-}
-
-// vecSpecPrefix builds the spec for a prefix plan.
-func vecSpecPrefix(fn string, fd *funcData, ps PrecSpec, pl *prefixPlan, name string) *vecSpec {
-	spec := &vecSpec{
-		fn:          fn,
-		name:        name + "VecBlock",
-		fallback:    name + "Block",
-		scalar:      name,
-		evs:         pl.evs,
-		los:         pl.los,
-		specialBits: pl.specialBits,
-		round:       precRoundIdent(ps.Name),
-		fd:          fd,
-	}
-	if len(spec.evs) > 1 {
-		spec.tab = name + "VecTab"
-	}
-	return spec
-}
-
-// checkVecPieces verifies the property the shared polynomial body rests on:
-// every piece evaluates the same operation DAG (same scheme, same
-// coefficient count, same adaptation state), so one GenEvalCoeffs body over
-// the selected table row reproduces each piece's GenEval exactly. It also
-// rejects duplicate coefficient bit patterns within the lead piece — the
-// value-keyed coefficient naming could not tell such positions apart.
-// Single-piece kernels skip the duplicate check: they inline literals and
-// never consult a table.
-func checkVecPieces(spec *vecSpec) error {
-	if len(spec.evs) == 1 {
-		return nil
-	}
-	lead := spec.evs[0]
-	leadC := lead.EvalCoeffs()
-	seen := make(map[uint64]bool, len(leadC))
-	for _, c := range leadC {
-		b := math.Float64bits(c)
-		if seen[b] {
-			return fmt.Errorf("%s: duplicate coefficient %x defeats table naming", spec.name, c)
-		}
-		seen[b] = true
-	}
-	for i, ev := range spec.evs[1:] {
-		if ev.Scheme != lead.Scheme {
-			return fmt.Errorf("%s: piece %d scheme differs", spec.name, i+1)
-		}
-		if len(ev.EvalCoeffs()) != len(leadC) {
-			return fmt.Errorf("%s: piece %d has %d coefficients, lead has %d",
-				spec.name, i+1, len(ev.EvalCoeffs()), len(leadC))
-		}
-		if (ev.AdaptedCoeffs() != nil) != (lead.AdaptedCoeffs() != nil) {
-			return fmt.Errorf("%s: piece %d adaptation state differs", spec.name, i+1)
-		}
-	}
-	return nil
-}
-
-// emitVecTable writes the per-piece coefficient table of a multi-piece
-// vector kernel: row i is piece i's evaluation coefficients (the
-// Knuth-adapted alphas when adaptation is in effect, the ascending
-// polynomial coefficients otherwise).
-func emitVecTable(w io.Writer, spec *vecSpec) {
-	if spec.tab == "" {
-		return
-	}
-	fmt.Fprintf(w, "\n// %s holds the per-piece coefficient rows of %s, selected\n", spec.tab, spec.name)
-	fmt.Fprintf(w, "// branch-free by sign-bit counting against the piece bounds.\n")
-	fmt.Fprintf(w, "var %s = [%d][%d]float64{\n", spec.tab, len(spec.evs), len(spec.evs[0].EvalCoeffs()))
-	for _, ev := range spec.evs {
-		fmt.Fprintf(w, "\t{")
-		for i, c := range ev.EvalCoeffs() {
-			if i > 0 {
-				fmt.Fprintf(w, ", ")
-			}
-			fmt.Fprintf(w, "%s", hexLit(c))
-		}
-		fmt.Fprintf(w, "},\n")
-	}
-	fmt.Fprintf(w, "}\n")
-}
-
-// emitVecKernel writes one vector kernel: the coefficient table (when
-// piecewise) and the block function. If the pieces cannot share a body —
-// heterogeneous shapes or duplicate coefficients, which no current
-// implementation exhibits — the vector name degrades to a wrapper over the
-// scalar-body block kernel so the registries stay total and correct.
-func emitVecKernel(w io.Writer, spec *vecSpec) error {
-	if err := checkVecPieces(spec); err != nil {
-		fmt.Fprintf(w, "\n// %s: pieces cannot share a branch-free body (%v);\n", spec.name, err)
-		fmt.Fprintf(w, "// the vector form degrades to the scalar-body block kernel.\n")
-		fmt.Fprintf(w, "func %s(b []float64) {\n\t%s(b)\n}\n", spec.name, spec.fallback)
-		return nil
-	}
-	emitVecTable(w, spec)
-	return emitVecBlockFunc(w, spec)
-}
-
-// emitVecBlockFunc writes one vector block kernel body.
-func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
-	isLog := strings.HasPrefix(spec.fn, "log")
-	// The narrowing shift must match the precision's roundNarrow call in
-	// prec.go (53 - output significand bits); validated before any output so
-	// a new precision cannot leave a half-emitted kernel behind.
-	shift := 0
-	if spec.round != "" {
-		shift = map[string]int{"roundTf32": 42, "roundBf16": 45}[spec.round]
-		if shift == 0 {
-			return fmt.Errorf("unknown narrowing round %q", spec.round)
-		}
-	}
-
-	fmt.Fprintf(w, "\n// %s applies the same kernel as %s to every element of b\n", spec.name, spec.fallback)
+	fmt.Fprintf(w, "\n// %s applies the same kernel as %s to every element of b\n", name, fallback)
 	fmt.Fprintf(w, "// in %d-lane groups: struct-of-arrays range reduction, then a branch-free\n", emitVecLanes)
-	fmt.Fprintf(w, "// polynomial loop (bit-select masks instead of the special switch and piece\n")
-	fmt.Fprintf(w, "// dispatch). Lanes holding special inputs are recomputed with the scalar\n")
-	fmt.Fprintf(w, "// kernel afterwards, and the sub-group tail runs the scalar-body block\n")
-	fmt.Fprintf(w, "// kernel, so outputs are bit-identical to %s for every\n", spec.fallback)
-	fmt.Fprintf(w, "// input and length.\n")
-	fmt.Fprintf(w, "func %s(b []float64) {\n", spec.name)
+	fmt.Fprintf(w, "// polynomial loop (a bit-select mask instead of the r == 0 branch). Lanes\n")
+	fmt.Fprintf(w, "// holding special inputs are recomputed with the scalar kernel afterwards,\n")
+	fmt.Fprintf(w, "// and the sub-group tail runs the scalar-body block kernel, so outputs are\n")
+	fmt.Fprintf(w, "// bit-identical to %s for every input and length.\n", fallback)
+	fmt.Fprintf(w, "func %s(b []float64) {\n", name)
 	fmt.Fprintf(w, "\tn := len(b) &^ (generatedVecLanes - 1)\n")
 	fmt.Fprintf(w, "\tfor base := 0; base < n; base += generatedVecLanes {\n")
 	fmt.Fprintf(w, "\t\tv := (*[generatedVecLanes]float64)(b[base:])\n")
 
 	// Loop A: struct-of-arrays reduction plus the fast-path predicate.
-	fam, err := famFor(spec.fn)
+	fam, err := famFor(ks.fn)
 	if err != nil {
 		return err
 	}
@@ -260,23 +109,14 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 		// The exact polynomial path, not the scalar front-end gate: the
 		// gate also turns away the band between the shorter and the longer
 		// domain cut, which here would cost a scalar fix-up per lane.
-		fd := spec.fd
+		fd := ks.fd
 		fmt.Fprintf(w, "\t\t\tif !(x > %s && x < %s && (x < %s || x > %s)) {\n",
 			hexLit(fd.domLo), hexLit(fd.domHi), hexLit(fd.tinyLo), hexLit(fd.tinyHi))
 		fmt.Fprintf(w, "\t\t\t\tsl[l], slow = true, true\n\t\t\t}\n")
 	}
-	if len(spec.specialBits) > 0 {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		cases := make([]string, len(spec.specialBits))
-		for i, bb := range spec.specialBits {
-			val := math.Float64frombits(bb)
-			lo, hi = math.Min(lo, val), math.Max(hi, val)
-			cases[i] = fmt.Sprintf("%#x", bb)
-		}
-		fmt.Fprintf(w, "\t\t\tif x >= %s && x <= %s {\n", hexLit(lo), hexLit(hi))
-		fmt.Fprintf(w, "\t\t\t\tswitch math.Float64bits(x) {\n")
-		fmt.Fprintf(w, "\t\t\t\tcase %s:\n\t\t\t\t\tsl[l], slow = true, true\n", strings.Join(cases, ", "))
-		fmt.Fprintf(w, "\t\t\t\t}\n\t\t\t}\n")
+	if ks.exact != nil {
+		fmt.Fprintf(w, "\t\t\tif %s {\n", ks.exact.probe("math.Float64bits(x)"))
+		fmt.Fprintf(w, "\t\t\t\tsl[l], slow = true, true\n\t\t\t}\n")
 	}
 	fmt.Fprintf(w, "\t\t}\n")
 
@@ -285,24 +125,7 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 	// overwritten by the fix-up loop below.
 	fmt.Fprintf(w, "\t\tfor l := 0; l < generatedVecLanes; l++ {\n")
 	fmt.Fprintf(w, "\t\t\tr := vr[l]\n")
-	var lines []string
-	var result string
-	if spec.tab != "" {
-		// sel counts the pieces whose lower bound r has reached: the lower
-		// bounds ascend, so the count is the scalar dispatch's chosen index.
-		// r - lo is +0 only when r == lo (fast lanes are finite), making the
-		// sign bit an exact r >= lo on this path.
-		fmt.Fprintf(w, "\t\t\tsel := (math.Float64bits(r-(%s)) >> 63) ^ 1\n", hexLit(spec.los[1]))
-		for _, lo := range spec.los[2:] {
-			fmt.Fprintf(w, "\t\t\tsel += (math.Float64bits(r-(%s)) >> 63) ^ 1\n", hexLit(lo))
-		}
-		fmt.Fprintf(w, "\t\t\tc := &%s[sel]\n", spec.tab)
-		lines, result = spec.evs[0].GenEvalCoeffs("r", "tv_", func(i int) string {
-			return fmt.Sprintf("c[%d]", i)
-		})
-	} else {
-		lines, result = spec.evs[0].GenEval("r", "tv_")
-	}
+	lines, result := ks.genPoly("tv_")
 	for _, l := range lines {
 		fmt.Fprintf(w, "\t\t\t%s\n", l)
 	}
@@ -318,7 +141,7 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 		fmt.Fprintf(w, "\t\t\tpb := math.Float64bits(%s) & -m\n", result)
 	}
 	store := "v[l] ="
-	if spec.round != "" {
+	if ks.ps != nil {
 		store = "res :=" // rounded to v[l] by the narrowing fold below
 	}
 	if isLog {
@@ -341,7 +164,9 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 	// exactly; fast lanes run the identical add-and-mask, so the fold stays
 	// bit-identical while the loop body stays free of calls and of taken
 	// branches.
-	if spec.round != "" {
+	if ks.ps != nil {
+		// The shift matches the precision's roundNarrow call in prec.go.
+		shift := 53 - ks.ps.Out.Prec()
 		fmt.Fprintf(w, "\t\t\tu := math.Float64bits(res)\n")
 		fmt.Fprintf(w, "\t\t\tru := u + (1<<%d - 1) + (u>>%d)&1\n", shift-1, shift)
 		fmt.Fprintf(w, "\t\t\tru &^= 1<<%d - 1\n", shift)
@@ -357,11 +182,11 @@ func emitVecBlockFunc(w io.Writer, spec *vecSpec) error {
 	fmt.Fprintf(w, "\t\tif slow {\n")
 	fmt.Fprintf(w, "\t\t\tfor l := 0; l < generatedVecLanes; l++ {\n")
 	fmt.Fprintf(w, "\t\t\t\tif sl[l] {\n")
-	fmt.Fprintf(w, "\t\t\t\t\tv[l] = %s(vx[l])\n", spec.scalar)
+	fmt.Fprintf(w, "\t\t\t\t\tv[l] = %s(vx[l])\n", ks.name)
 	fmt.Fprintf(w, "\t\t\t\t}\n\t\t\t}\n\t\t}\n")
 
 	fmt.Fprintf(w, "\t}\n")
-	fmt.Fprintf(w, "\tif n != len(b) {\n\t\t%s(b[n:])\n\t}\n", spec.fallback)
+	fmt.Fprintf(w, "\tif n != len(b) {\n\t\t%s(b[n:])\n\t}\n", fallback)
 	fmt.Fprintf(w, "}\n")
 	return nil
 }

@@ -88,14 +88,14 @@ type funcData struct {
 }
 
 // evalPoly evaluates the variant's piecewise polynomial at the reduced
-// input.
+// input. The piece is the number of piece bounds r has reached (the bounds
+// ascend), the selection every generated kernel makes.
 func (d *implData) evalPoly(r float64) float64 {
-	p := &d.pieces[0]
-	for i := 1; i < len(d.pieces); i++ {
-		if r >= d.pieces[i].lo {
-			p = &d.pieces[i]
-		}
+	var i uint
+	for _, p := range d.pieces[1:] {
+		i += b2u(r >= p.lo)
 	}
+	p := &d.pieces[i]
 	switch d.scheme {
 	case SchemeHorner:
 		return poly.EvalHorner(p.coeffs, r)
@@ -116,6 +116,24 @@ func (d *implData) evalPoly(r float64) float64 {
 		}
 	}
 	panic("libm: unknown scheme")
+}
+
+// b2u is 1 for true and 0 for false. It inlines and compiles to SETcc, so
+// a sum of b2u(r >= lo) terms selects a polynomial piece without a branch;
+// the generated kernels call it on every evaluation.
+func b2u(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// exactEntry is one slot of a generated kernel's exact-value table: the
+// float64 bits of an input the kernel answers from the table, and the
+// answer.
+type exactEntry struct {
+	b uint64
+	v float64
 }
 
 // special looks x up in the variant's special-case table.

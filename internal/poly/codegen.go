@@ -82,7 +82,7 @@ func (e *Evaluator) EvalCoeffs() []float64 {
 // GenEvalCoeffs emits the same straight-line operation sequence as GenEval,
 // but loads every coefficient through coeff(i) — an expression such as
 // "c[3]" — instead of inlining its hexadecimal literal; i indexes
-// EvalCoeffs. The vector block emitter uses this to share one polynomial
+// EvalCoeffs. The kernel emitters use this to share one polynomial
 // body across the table-selected pieces of a piecewise kernel: the DAG shape
 // depends only on the scheme and the coefficient count, so pieces of equal
 // degree compile to identical code over different table rows. Coefficients

@@ -90,12 +90,7 @@ func newCanary(cfg Config, reg *obs.Registry) *canary {
 		dropped:  reg.Counter("serve.canary.dropped_total"),
 		skipped:  reg.Counter("serve.canary.skipped_total"),
 	}
-	switch {
-	case cfg.CanarySample >= 1:
-		c.every = 1
-	default:
-		c.every = int64(1/cfg.CanarySample + 0.5)
-	}
+	c.every = sampleStride(cfg.CanarySample)
 	if cfg.CanaryStore != nil {
 		c.cache.AttachStore(cfg.CanaryStore)
 	}

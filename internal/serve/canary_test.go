@@ -68,6 +68,22 @@ func TestCanaryFlagsMismatch(t *testing.T) {
 	}
 }
 
+// TestCanaryTinyRate: a sample rate so small that 1/rate overflows int64
+// samples nothing; it must not turn into a negative stride, which sent offer
+// indexing far outside the request.
+func TestCanaryTinyRate(t *testing.T) {
+	srv := New(Config{Registry: obs.NewRegistry(), CanarySample: 1e-19, CanaryQueue: 16})
+	c := srv.canary
+	src := []float32{0.5, 1.5, 2.5, 3.5}
+	dst := make([]float32, len(src))
+	rlibm.EvalBatch(rlibm.FuncExp, rlibm.Horner, dst, src)
+	c.offer(rlibm.FuncExp, rlibm.PrecFloat32, src, dst)
+	srv.Close()
+	if n := c.checked.Value(); n != 0 {
+		t.Errorf("checked_total = %d at rate 1e-19, want 0", n)
+	}
+}
+
 // TestCanarySkipsInadmissible: inputs the kernels answer from the IEEE
 // special-case table are not oracle-checkable and must be counted skipped,
 // never verified and never dropped.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -109,16 +110,26 @@ type sampler struct {
 }
 
 func newSampler(rate float64) *sampler {
-	s := &sampler{}
+	return &sampler{every: sampleStride(rate)}
+}
+
+// sampleStride is the stride of an every-Nth sampler at the given rate,
+// shared by the trace sampler and the canary: 0 (off) unless rate > 0, so
+// NaN is off too; 1 for rates of 1 and above; round(1/rate) otherwise,
+// capped at math.MaxInt64 so that a tiny rate samples almost never instead
+// of converting out of range into a negative stride.
+func sampleStride(rate float64) int64 {
 	switch {
-	case rate <= 0:
-		s.every = 0
+	case !(rate > 0):
+		return 0
 	case rate >= 1:
-		s.every = 1
-	default:
-		s.every = int64(1/rate + 0.5)
+		return 1
 	}
-	return s
+	n := 1/rate + 0.5
+	if n >= math.MaxInt64 { // the constant converts to 2^63
+		return math.MaxInt64
+	}
+	return int64(n)
 }
 
 func (s *sampler) sample() bool {

@@ -94,6 +94,19 @@ func TestSamplerStride(t *testing.T) {
 	if got := count(0.25, 100); got != 25 {
 		t.Errorf("rate 0.25: %d samples of 100, want 25", got)
 	}
+	if got := count(math.NaN(), 100); got != 0 {
+		t.Errorf("rate NaN: %d samples, want 0", got)
+	}
+	// 1/rate + 0.5 exceeds the int64 range below ~1.1e-19; the stride caps
+	// instead of wrapping negative.
+	for _, rate := range []float64{1e-19, 5e-324} {
+		if got := sampleStride(rate); got != math.MaxInt64 {
+			t.Errorf("rate %g: stride %d, want MaxInt64", rate, got)
+		}
+		if got := count(rate, 100); got != 0 {
+			t.Errorf("rate %g: %d samples of 100, want 0", rate, got)
+		}
+	}
 }
 
 // TestObservabilityBitIdentity: with full tracing AND the canary sampling
